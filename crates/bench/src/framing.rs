@@ -56,14 +56,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Appends one framed record to `w`. Does **not** flush or sync; callers
-/// that need durability follow up with [`File::sync_data`].
+/// Encodes one payload as a framed record: the exact bytes
+/// [`write_record`] appends.
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidInput`] when the payload exceeds
-/// [`MAX_RECORD_LEN`], and propagates write errors.
-pub fn write_record(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// [`MAX_RECORD_LEN`].
+pub fn encode_record(payload: &[u8]) -> io::Result<Vec<u8>> {
     if payload.len() > MAX_RECORD_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -72,9 +72,28 @@ pub fn write_record(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     }
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record length overflows u32"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&crc32(payload).to_be_bytes())?;
-    w.write_all(payload)
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(&crc32(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Appends one framed record to `w` in a single `write_all`. Does
+/// **not** flush or sync; callers that need durability follow up with
+/// [`File::sync_data`].
+///
+/// One write per frame matters on sockets: a frame split over several
+/// small writes on an unbuffered `TcpStream` leaves the later pieces
+/// waiting (Nagle) for the peer's delayed ACK of the first, ~40 ms per
+/// message.
+///
+/// # Errors
+///
+/// Returns [`io::ErrorKind::InvalidInput`] when the payload exceeds
+/// [`MAX_RECORD_LEN`], and propagates write errors.
+pub fn write_record(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_record(payload)?)
 }
 
 /// Reads the next framed record from `r`.
@@ -217,6 +236,43 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// Counts `write` calls.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        let payloads = [&b"health"[..], b"", &[7u8; 1000]];
+        let mut w = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        let mut expected = Vec::new();
+        for (i, payload) in payloads.iter().enumerate() {
+            write_record(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+            // The on-disk and on-wire layout: length, CRC, payload.
+            expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            expected.extend_from_slice(&crc32(payload).to_be_bytes());
+            expected.extend_from_slice(payload);
+        }
+        assert_eq!(w.bytes, expected);
     }
 
     #[test]

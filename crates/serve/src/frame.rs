@@ -22,29 +22,8 @@ use qpdo_bench::framing::{crc32, MAX_RECORD_LEN};
 pub const HEADER_LEN: usize = 8;
 
 /// Encodes one payload as a CRC frame (the byte sequence
-/// `qpdo_bench::framing::write_record` would emit).
-///
-/// # Errors
-///
-/// `InvalidInput` when the payload exceeds
-/// [`MAX_RECORD_LEN`](qpdo_bench::framing::MAX_RECORD_LEN).
-pub fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
-    if payload.len() > MAX_RECORD_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds {MAX_RECORD_LEN}", payload.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("bounded above")
-            .to_be_bytes(),
-    );
-    frame.extend_from_slice(&crc32(payload).to_be_bytes());
-    frame.extend_from_slice(payload);
-    Ok(frame)
-}
+/// `qpdo_bench::framing::write_record` emits).
+pub use qpdo_bench::framing::encode_record as encode_frame;
 
 /// An incremental reassembly buffer: bytes in, complete frames out.
 #[derive(Debug, Default)]

@@ -128,8 +128,8 @@ pub enum JobKind {
     },
     /// A code-capacity LER point on the generic rotated surface code
     /// (`DESIGN.md` §13): `shots` Monte-Carlo shots of Bernoulli `X`
-    /// errors at rate `per`, syndromes extracted through the packed
-    /// 64-lane sliced engine and decoded by the union-find decoder
+    /// errors at rate `per`, syndromes sampled 64 shots at a time by
+    /// the Pauli-frame sampler and decoded by the union-find decoder
     /// (exact matching below its defect limit). The result is
     /// `<shots> <failures> <defects>`.
     LerSurface {

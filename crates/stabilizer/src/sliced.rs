@@ -555,6 +555,11 @@ impl ShotSlicedSim {
                 let s = self.sources[w];
                 let sx = self.x[cb + w] & s;
                 let sz = self.z[cb + w] & s;
+                if sx | sz == 0 {
+                    // Identity in every source row of this word: no
+                    // phase, and the prefix carries pass through.
+                    continue;
+                }
                 let ix = prefix_xor(sx);
                 let iz = prefix_xor(sz);
                 let px = (ix << 1) ^ carry_x;

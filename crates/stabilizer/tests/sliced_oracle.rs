@@ -288,6 +288,15 @@ fn sliced_lanes_match_across_word_boundary() {
     }
 }
 
+/// Multi-word coverage: at 100 qubits the 200 rows span four column
+/// words, so deterministic-outcome scans carry X/Z prefix parities
+/// across several words (the surface frame oracle runs the engine at
+/// up to 337 qubits).
+#[test]
+fn sliced_lanes_match_on_multi_word_registers() {
+    walk(100, scaled(3_000), 0x51CE_D4D4, 300);
+}
+
 /// A forced-coin RNG for golden KATs: `gen::<bool>()` pops the next
 /// scripted outcome (the `bool` sampler reads bit 0 of `next_u64`).
 struct ForcedCoin(std::collections::VecDeque<bool>);

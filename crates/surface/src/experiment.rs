@@ -10,12 +10,13 @@
 //!   decoder; the correction goes through the stack — where a
 //!   Pauli-frame layer absorbs it without touching the qubits.
 //! - [`run_ler_surface`] — the code-capacity Monte-Carlo sweep behind
-//!   the d = 3…13 threshold workload: 64 shots per word on
-//!   [`ShotSlicedSim`], i.i.d. data errors injected through per-lane
-//!   masks, syndromes extracted by executing the real ESM circuit on the
-//!   sliced engine (packed syndrome planes read straight off the ancilla
-//!   measurement words), every lane decoded by the union-find decoder,
-//!   and logical failures read as one `expectation` lane word.
+//!   the d = 3…13 threshold workload, 64 shots per batch: i.i.d. data
+//!   errors drawn as one lane word per data qubit, syndromes sampled by
+//!   propagating those words as a 64-lane Pauli frame through the real
+//!   ESM circuit ([`FrameSampler`] — no tableau, the paper's frame idea
+//!   applied to the simulator itself), every lane decoded by the
+//!   union-find decoder, and logical failures read off the frame as one
+//!   lane word.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -26,10 +27,10 @@ use qpdo_core::{
 use qpdo_pauli::{Pauli, PauliString};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
-use qpdo_stabilizer::{ShotSlicedSim, LANES};
+use qpdo_stabilizer::LANES;
 
-use crate::{CheckKind, MatchingDecoder, RotatedSurfaceCode, UnionFindDecoder};
-use qpdo_circuit::{Circuit, Gate, Operation, OperationKind, TimeSlot};
+use crate::{CheckKind, FrameSampler, MatchingDecoder, RotatedSurfaceCode, UnionFindDecoder};
+use qpdo_circuit::{Circuit, Gate, Operation, TimeSlot};
 
 /// Configuration of a distance-scaling LER run (always watches for
 /// logical X errors on `|0⟩_L`, the representative case).
@@ -276,8 +277,8 @@ fn correction_slot(x_corrections: &[usize], z_corrections: &[usize]) -> Option<T
     Some(slot)
 }
 
-/// Configuration of a code-capacity LER sweep point decoded by the
-/// union-find decoder on the 64-lane shot-sliced engine.
+/// Configuration of a code-capacity LER sweep point sampled 64 shots at
+/// a time by the [`FrameSampler`] and decoded by the union-find decoder.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SurfaceLerConfig {
     /// Code distance (odd, ≥ 3).
@@ -319,9 +320,17 @@ impl SurfaceLerOutcome {
     }
 }
 
-/// Runs one code-capacity LER point: 64-lane error injection, real ESM
-/// syndrome extraction on [`ShotSlicedSim`], union-find decoding of every
-/// lane, and a packed logical-failure readout.
+/// Runs one code-capacity LER point: 64-lane error words, syndromes
+/// sampled by propagating them as a Pauli frame through the real ESM
+/// circuit ([`FrameSampler`]), union-find decoding of every lane, and a
+/// packed logical-failure readout off the frame.
+///
+/// The outcome depends only on the error words, which every batch draws
+/// first from its own RNG substream: detecting syndromes are their
+/// check-support parities and failures their parity with the correction
+/// on the logical support. The result is therefore the same whichever
+/// engine extracts the syndromes (`tests/frame_oracle.rs` checks it
+/// against a shot-sliced tableau run of the same loop).
 ///
 /// # Errors
 ///
@@ -427,14 +436,8 @@ pub fn run_ler_surface_resumable(
         CheckKind::X => CheckKind::Z,
         CheckKind::Z => CheckKind::X,
     };
-    // X errors flip Z checks and threaten Z_L (its support crosses
-    // their termination boundary); dually for Z errors.
-    let observable = match config.error {
-        CheckKind::X => code.logical_z_string(),
-        CheckKind::Z => code.logical_x_string(),
-    };
     let ancillas: Vec<usize> = code.checks_of(detecting).map(|ch| ch.ancilla).collect();
-    let esm = code.esm_circuit();
+    let mut sampler = FrameSampler::new(&code, config.error);
 
     let batches = config.shots.div_ceil(LANES as u64);
     let start = resume.map_or(0, |r| r.batches.min(batches));
@@ -444,7 +447,6 @@ pub fn run_ler_surface_resumable(
     let mut stopped = false;
     // Per-batch working buffers, allocated once and reused.
     let mut err = vec![0u64; code.num_data_qubits()];
-    let mut meas = vec![0u64; code.num_qubits()];
     let mut corr = vec![0u64; code.num_data_qubits()];
     let mut syndrome = vec![false; ancillas.len()];
     let mut correction = Vec::new();
@@ -465,32 +467,21 @@ pub fn run_ler_surface_resumable(
         let mut rng =
             StdRng::seed_from_u64(config.seed ^ (batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-        let mut sim = ShotSlicedSim::new(code.num_qubits());
-        if config.error == CheckKind::Z {
-            // Z errors are watched on |+…+⟩ so X_L starts deterministic.
-            for q in 0..code.num_data_qubits() {
-                sim.h(q);
-            }
-        }
-        // Inject i.i.d. errors on the data qubits, one lane word each.
+        // Draw i.i.d. data errors, one lane word each, before anything
+        // else touches the substream.
         err.fill(0);
-        for (q, word) in err.iter_mut().enumerate() {
+        for word in &mut err {
             for lane in 0..LANES {
                 if rng.gen_bool(p) {
                     *word |= 1 << lane;
                 }
             }
-            match config.error {
-                CheckKind::X => sim.x_masked(q, *word),
-                CheckKind::Z => sim.z_masked(q, *word),
-            }
         }
-        // Execute the real ESM round on the sliced engine; the detecting
-        // checks' ancilla measurement words are the packed syndromes.
-        // (The opposite family measures randomly — first-round gauge
-        // fixing — which cannot disturb the commuting observable.)
-        meas.fill(0);
-        run_circuit_sliced(&mut sim, &esm, &mut rng, &mut meas);
+        // One ESM round per lane through the frame; the detecting
+        // checks' ancilla outcome words are the packed syndromes. (The
+        // opposite family reads random gauge bits, which cannot disturb
+        // the commuting observable.)
+        let meas = sampler.extract(&err, &mut rng);
         #[cfg(debug_assertions)]
         for (i, ch) in code.checks_of(detecting).enumerate() {
             let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ err[q]);
@@ -510,19 +501,10 @@ pub fn run_ler_surface_resumable(
                 corr[q] |= 1 << lane;
             }
         }
-        for (q, &word) in corr.iter().enumerate() {
-            if word != 0 {
-                match config.error {
-                    CheckKind::X => sim.x_masked(q, word),
-                    CheckKind::Z => sim.z_masked(q, word),
-                }
-            }
+        for &anc in &ancillas {
+            defects += u64::from((meas[anc] & mask).count_ones());
         }
-        // The observable commutes with every ESM measurement, so it
-        // stays deterministic: the lane word *is* the failure word.
-        let fail_word = sim
-            .expectation(&observable)
-            .expect("logical observable stays deterministic through ESM + correction");
+        let fail_word = sampler.failure_word(&corr);
         // Cross-check against pure classical bookkeeping: a lane fails
         // iff error ⊕ correction overlaps the logical support oddly.
         #[cfg(debug_assertions)]
@@ -535,14 +517,11 @@ pub fn run_ler_surface_resumable(
             .fold(0u64, |acc, &q| acc ^ err[q] ^ corr[q]);
             debug_assert_eq!(
                 fail_word, classical,
-                "sim and classical failure words differ"
+                "frame and classical failure words differ"
             );
         }
         shots += lanes;
         failures += u64::from((fail_word & mask).count_ones());
-        for &anc in &ancillas {
-            defects += u64::from((meas[anc] & mask).count_ones());
-        }
         on_batch(&SurfaceProgress {
             batches: batch + 1,
             shots,
@@ -563,43 +542,6 @@ pub fn run_ler_surface_resumable(
         },
         stopped,
     ))
-}
-
-/// Executes a Clifford circuit directly on the sliced engine, recording
-/// the last measurement lane word per qubit. Random prep/measure branches
-/// draw from `rng` per lane, in deterministic order.
-fn run_circuit_sliced(
-    sim: &mut ShotSlicedSim,
-    circuit: &Circuit,
-    rng: &mut StdRng,
-    meas: &mut [u64],
-) {
-    for slot in circuit.slots() {
-        for op in slot {
-            let q = op.qubits();
-            match op.kind() {
-                OperationKind::Prep => sim.reset_with(q[0], |_| rng.gen::<bool>()),
-                OperationKind::Measure => {
-                    meas[q[0]] = sim.measure_with(q[0], |_| rng.gen::<bool>())
-                }
-                OperationKind::Gate(gate) => match gate {
-                    Gate::I => {}
-                    Gate::X => sim.x(q[0]),
-                    Gate::Y => sim.y(q[0]),
-                    Gate::Z => sim.z(q[0]),
-                    Gate::H => sim.h(q[0]),
-                    Gate::S => sim.s(q[0]),
-                    Gate::Sdg => sim.sdg(q[0]),
-                    Gate::Cnot => sim.cnot(q[0], q[1]),
-                    Gate::Cz => sim.cz(q[0], q[1]),
-                    Gate::Swap => sim.swap(q[0], q[1]),
-                    Gate::T | Gate::Tdg | Gate::Toffoli => {
-                        unreachable!("ESM schedules are Clifford-only")
-                    }
-                },
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,12 @@
 //!   near-linear cluster growth + peeling, decoding any odd distance at
 //!   any defect density. Not minimum-weight; its logical failure rate is
 //!   gated against the matching oracle by `tests/uf_oracle.rs`.
+//! - [`FrameSampler`] — the 64-lane Pauli-frame syndrome sampler: one
+//!   ESM round for 64 code-capacity shots at once, errors propagated as
+//!   lane frames through the round instead of through a tableau.
 //! - [`experiment`] — the distance-scaling LER drivers: the circuit-level
 //!   Pauli-frame comparison with `d − 1` syndrome rounds per window
-//!   ([`experiment::run_distance_ler`]), and the 64-lane shot-sliced
+//!   ([`experiment::run_distance_ler`]), and the 64-lane frame-sampled
 //!   code-capacity sweep behind the d = 3…13 threshold workload
 //!   ([`experiment::run_ler_surface`]).
 //!
@@ -44,8 +47,10 @@
 mod code;
 mod decoder;
 pub mod experiment;
+mod sampler;
 mod uf;
 
 pub use code::{Check, CheckKind, RotatedSurfaceCode};
 pub use decoder::MatchingDecoder;
+pub use sampler::FrameSampler;
 pub use uf::UnionFindDecoder;

@@ -93,6 +93,15 @@ echo "== sliced oracle: 64-lane engine vs scalar twins (release) =="
 cargo test -q --offline --release -p qpdo-stabilizer --test sliced_oracle
 cargo test -q --offline --release -p qpdo-surface17 --lib 'sliced::'
 
+echo "== frame oracle: Pauli-frame sampler vs shot-sliced tableau (release) =="
+# Frame-sampler soundness (DESIGN.md §13.1): with identical injected
+# error words, the code-capacity sweep's frame sampler must give the
+# tableau's detecting syndromes lane for lane and its failure words,
+# and run_ler_surface must reproduce the test-only tableau batch loop's
+# outcome byte for byte at d = 3…13, both error kinds, several seeds and
+# a partial last batch.
+cargo test -q --offline --release -p qpdo-surface --test frame_oracle
+
 # Throwaway output directory for every smoke artifact below.
 smoke_out=$(mktemp -d)
 trap 'rm -rf "$smoke_out"' EXIT
